@@ -557,23 +557,23 @@ impl InferenceSession {
     /// DL-centric (kernels may use every granted core, no DB workers
     /// competing), one DB worker per stage for pipelined (§3.1: stage
     /// threads × stages must not oversubscribe cores), one DB worker
-    /// otherwise.
+    /// otherwise. `coordinator` is the session's own, or a
+    /// [`ThreadCoordinator::share`] of it for a fused batch.
     fn admit(
         &self,
+        coordinator: &ThreadCoordinator,
         architecture: &Architecture,
         model: &Model,
         policy: &AdmissionPolicy,
     ) -> Result<ExecContext> {
         let governor = self.governor.clone();
         Ok(match architecture {
-            Architecture::DlCentric(_) => {
-                self.coordinator.context_dedicated_with(governor, policy)?
-            }
+            Architecture::DlCentric(_) => coordinator.context_dedicated_with(governor, policy)?,
             Architecture::Pipelined { .. } => {
                 let stages = model.layers().len().max(1);
-                self.coordinator.context_with(stages, governor, policy)?
+                coordinator.context_with(stages, governor, policy)?
             }
-            _ => self.coordinator.context_with(1, governor, policy)?,
+            _ => coordinator.context_with(1, governor, policy)?,
         })
     }
 
@@ -675,11 +675,24 @@ impl InferenceSession {
         architecture: Architecture,
         policy: &AdmissionPolicy,
     ) -> Result<InferenceOutcome> {
+        self.infer_on(&self.coordinator, model_name, batch, architecture, policy)
+    }
+
+    /// [`InferenceSession::infer_batch_with`] planned and admitted through
+    /// `coordinator`.
+    fn infer_on(
+        &self,
+        coordinator: &ThreadCoordinator,
+        model_name: &str,
+        batch: &Tensor,
+        architecture: Architecture,
+        policy: &AdmissionPolicy,
+    ) -> Result<InferenceOutcome> {
         let model = self.model(model_name)?;
         let batch_size = model.check_input(batch)?;
         let started = Instant::now();
         let label = architecture.to_string();
-        let ctx = self.admit(&architecture, &model, policy)?;
+        let ctx = self.admit(coordinator, &architecture, &model, policy)?;
         let primary = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.run_primary(&model, batch, &architecture, batch_size, &ctx)
         }))
@@ -728,12 +741,18 @@ impl InferenceSession {
     /// width. The whole batch shares one outcome: if the fused execution
     /// degrades, every request reports the same `degraded_to`; if it fails,
     /// the caller maps the single error to every request it fused.
+    ///
+    /// The batch is planned and admitted for `cores` of the machine
+    /// ([`ThreadCoordinator::share`]): a server running `n` fused batches
+    /// at once passes `cores / n`, so each batch is one of `n` DB workers
+    /// in the §3.1 split and the batches run side by side.
     pub fn infer_fused(
         &self,
         model_name: &str,
         parts: &[Tensor],
         architecture: Architecture,
         policy: &AdmissionPolicy,
+        cores: usize,
     ) -> Result<FusedOutcome> {
         if parts.is_empty() {
             return Err(Error::Invalid("fused batch needs at least one part".into()));
@@ -766,7 +785,8 @@ impl InferenceSession {
             data.extend_from_slice(part.data());
         }
         let fused = Tensor::from_vec([total_rows, width], data)?;
-        let outcome = self.infer_batch_with(model_name, &fused, architecture, policy)?;
+        let coordinator = self.coordinator.share(cores);
+        let outcome = self.infer_on(&coordinator, model_name, &fused, architecture, policy)?;
         let predictions = outcome.predictions()?;
         debug_assert_eq!(predictions.len(), total_rows);
         let mut per_request = Vec::with_capacity(parts.len());
@@ -1059,6 +1079,7 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &AdmissionPolicy::default(),
+                1,
             )
             .unwrap();
         assert_eq!(fused.per_request.len(), parts.len());
@@ -1078,7 +1099,8 @@ mod tests {
                 "Fraud-FC-256",
                 &ragged,
                 Architecture::UdfCentric,
-                &AdmissionPolicy::default()
+                &AdmissionPolicy::default(),
+                1,
             )
             .is_err());
         assert!(session
@@ -1086,7 +1108,8 @@ mod tests {
                 "Fraud-FC-256",
                 &[],
                 Architecture::UdfCentric,
-                &AdmissionPolicy::default()
+                &AdmissionPolicy::default(),
+                1,
             )
             .is_err());
     }

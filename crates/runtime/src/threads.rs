@@ -338,6 +338,21 @@ impl ThreadCoordinator {
         self.cores
     }
 
+    /// A view of `cores` of this machine (clamped to `1..=self.cores()`):
+    /// plans and contexts built through it are sized as if the machine had
+    /// only `cores` cores, while the admission ledger and kernel pool stay
+    /// the whole machine's. A caller that runs `n` queries at once — each
+    /// one of `n` DB workers in the §3.1 split — admits each through
+    /// `share(cores / n)`, so the `n` fit side by side instead of taking
+    /// turns at the whole machine.
+    pub fn share(&self, cores: usize) -> ThreadCoordinator {
+        ThreadCoordinator {
+            cores: cores.clamp(1, self.cores),
+            admission: Arc::clone(&self.admission),
+            pool: Arc::clone(&self.pool),
+        }
+    }
+
     /// Plan for a query whose relational side runs `db_parallelism`
     /// concurrent pipeline workers: each kernel gets the leftover share so
     /// the worst case never exceeds the core count.
@@ -371,7 +386,7 @@ impl ThreadCoordinator {
     pub fn kernel_pool(&self) -> Arc<KernelPool> {
         Arc::clone(
             self.pool
-                .get_or_init(|| Arc::new(KernelPool::for_cores(self.cores))),
+                .get_or_init(|| Arc::new(KernelPool::for_cores(self.admission.cores))),
         )
     }
 
@@ -596,6 +611,26 @@ mod tests {
         assert_eq!(p.kernel_threads, 8);
         assert_eq!(p.db_workers, 0);
         assert_eq!(p.worst_case_threads(), 8, "submitter counts");
+    }
+
+    #[test]
+    fn share_plans_within_its_cores_and_shares_the_ledger() {
+        let c = ThreadCoordinator::new(8);
+        let half = c.share(4);
+        assert_eq!(half.cores(), 4);
+        assert_eq!(half.plan_for(1).kernel_threads, 4);
+        assert_eq!(half.plan_dedicated().worst_case_threads(), 4);
+        assert_eq!(c.share(0).cores(), 1);
+        assert_eq!(c.share(99).cores(), 8);
+        // Two halves admit side by side against the one ledger.
+        let a = half.admit(half.plan_for(1).worst_case_threads()).unwrap();
+        let b = half.admit(half.plan_for(1).worst_case_threads()).unwrap();
+        assert_eq!((a.granted(), b.granted()), (4, 4));
+        assert_eq!(c.granted_threads(), 8);
+        // The kernel pool stays sized for the whole machine, whichever
+        // view creates it first.
+        assert_eq!(half.kernel_pool().workers(), 7);
+        assert!(Arc::ptr_eq(&half.kernel_pool(), &c.kernel_pool()));
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //!
 //! Connection threads [`Batcher::submit`] decoded requests; executor
 //! threads pull a **fused batch** — whole requests of the same
-//! `(model, class, width)` group — once the group reaches
-//! `max_batch_rows` or its oldest member has waited `max_batch_delay`.
-//! The fused batch pays for admission, planning and kernel launch once via
-//! [`InferenceSession::infer_fused`], and each member's predictions are
-//! demultiplexed back to its own connection.
+//! `(model, class, width)` group, up to `max_batch_rows` — as soon as they
+//! are idle. Dispatch is work-conserving: a request never waits while an
+//! executor sleeps, so batches form only from what arrives while every
+//! executor is busy, which is exactly when fusing pays. The fused batch
+//! pays for admission, planning and kernel launch once via
+//! [`InferenceSession::infer_fused`], admitted for its executor's share of
+//! the cores, and each member's predictions are demultiplexed back to its
+//! own connection.
 //!
 //! Three SLA levers act at flush time:
 //!
@@ -32,7 +35,7 @@ use relserve_tensor::Tensor;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where a submission's response goes. Connections hand the batcher their
 /// reactor-side write queue; unit tests hand it a channel.
@@ -103,7 +106,9 @@ pub(crate) struct Submission {
 /// Batcher tuning; the server builds this from its `ServeConfig`.
 pub(crate) struct BatcherConfig {
     pub max_batch_rows: usize,
-    pub max_batch_delay: Duration,
+    /// Cores each fused batch is planned and admitted for: the executor's
+    /// share of the machine, so concurrent executors run side by side.
+    pub batch_cores: usize,
     pub architecture: Architecture,
     /// Admission policy per class, indexed by [`Priority::rank`].
     pub admission: [AdmissionPolicy; 3],
@@ -269,7 +274,9 @@ impl Batcher {
             group.rows += sub.rows;
             group.queue.push_back(sub);
         }
-        self.ready.notify_all();
+        // One arrival needs one executor; waking them all would only herd
+        // them onto the lock.
+        self.ready.notify_one();
     }
 
     /// Wake every executor so it can observe the shutdown flag and drain.
@@ -319,66 +326,27 @@ impl Batcher {
         }
     }
 
-    /// Block until a group is ready (full, aged out, or shutdown), then pop
-    /// whole requests up to `max_batch_rows`. `None` ends the executor.
+    /// Take the next group the moment one is buffered, popping whole
+    /// requests up to `max_batch_rows`; sleep only while nothing is. After
+    /// shutdown the remaining groups still drain; `None` ends the executor
+    /// once they are gone.
     fn next_batch(&self) -> Option<FusedWork> {
         let mut state = self.state.lock().expect("batcher lock poisoned");
         loop {
-            let now = Instant::now();
-            if let Some(key) = self.pick_ready(&state, now) {
-                return Some(self.pop_batch(&mut state, &key));
+            if let Some(key) = pick_next(&state) {
+                let work = self.pop_batch(&mut state, &key);
+                if !state.groups.is_empty() {
+                    // Work is left over: hand it to an idle executor, if
+                    // any, rather than leave it for this one's return.
+                    self.ready.notify_one();
+                }
+                return Some(work);
             }
             if state.shutdown {
-                // Drain: any non-empty group is ready once we're stopping.
-                if let Some(key) = self.pick_oldest(&state) {
-                    return Some(self.pop_batch(&mut state, &key));
-                }
                 return None;
             }
-            let wait = self
-                .next_flush_in(&state, now)
-                .unwrap_or(Duration::from_millis(50));
-            let (next, _) = self
-                .ready
-                .wait_timeout(state, wait.max(Duration::from_micros(100)))
-                .expect("batcher lock poisoned");
-            state = next;
+            state = self.ready.wait(state).expect("batcher lock poisoned");
         }
-    }
-
-    /// The highest-priority group whose row count or age crossed a flush
-    /// threshold; ties broken by oldest member.
-    fn pick_ready(&self, state: &State, now: Instant) -> Option<GroupKey> {
-        state
-            .groups
-            .iter()
-            .filter(|(_, g)| {
-                let oldest = g.queue.front().map(|s| s.received);
-                g.rows >= self.config.max_batch_rows
-                    || oldest.is_some_and(|t| now.duration_since(t) >= self.config.max_batch_delay)
-            })
-            .min_by_key(|((_, rank, _), g)| (*rank, g.queue.front().map(|s| s.received)))
-            .map(|(key, _)| key.clone())
-    }
-
-    /// Any non-empty group, highest priority / oldest first (drain path).
-    fn pick_oldest(&self, state: &State) -> Option<GroupKey> {
-        state
-            .groups
-            .iter()
-            .filter(|(_, g)| !g.queue.is_empty())
-            .min_by_key(|((_, rank, _), g)| (*rank, g.queue.front().map(|s| s.received)))
-            .map(|(key, _)| key.clone())
-    }
-
-    /// How long until the oldest buffered request ages out.
-    fn next_flush_in(&self, state: &State, now: Instant) -> Option<Duration> {
-        state
-            .groups
-            .values()
-            .filter_map(|g| g.queue.front().map(|s| s.received))
-            .min()
-            .map(|oldest| (oldest + self.config.max_batch_delay).saturating_duration_since(now))
     }
 
     /// Pop whole submissions (at least one) until the fused batch would
@@ -487,12 +455,14 @@ impl Batcher {
                 &parts,
                 self.config.architecture.clone(),
                 &policy,
+                self.config.batch_cores,
             ),
             None => self.session.infer_fused(
                 &model_used,
                 &parts,
                 self.config.architecture.clone(),
                 &policy,
+                self.config.batch_cores,
             ),
         };
         match fused {
@@ -570,6 +540,16 @@ struct FusedWork {
     backlog_rows: usize,
 }
 
+/// The group an idle executor takes next: highest priority first, ties
+/// broken by oldest member.
+fn pick_next(state: &State) -> Option<GroupKey> {
+    state
+        .groups
+        .iter()
+        .min_by_key(|((_, rank, _), g)| (*rank, g.queue.front().map(|s| s.received)))
+        .map(|(key, _)| key.clone())
+}
+
 /// Map a session error onto the wire's typed codes.
 pub(crate) fn classify(err: &CoreError) -> ErrorCode {
     if err.is_overloaded() {
@@ -592,6 +572,7 @@ mod tests {
     use relserve_nn::init::seeded_rng;
     use relserve_nn::zoo;
     use relserve_runtime::TransferProfile;
+    use std::time::Duration;
 
     fn test_session() -> Arc<InferenceSession> {
         let config = SessionConfig::builder()
@@ -612,10 +593,10 @@ mod tests {
         Arc::new(session)
     }
 
-    fn test_config(max_rows: usize, delay: Duration) -> BatcherConfig {
+    fn test_config(max_rows: usize) -> BatcherConfig {
         BatcherConfig {
             max_batch_rows: max_rows,
-            max_batch_delay: delay,
+            batch_cores: 1,
             architecture: Architecture::UdfCentric,
             admission: [
                 AdmissionPolicy::for_class(Priority::Interactive),
@@ -659,7 +640,7 @@ mod tests {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
         let batcher = Batcher::new(
-            test_config(64, Duration::from_millis(5)),
+            test_config(64),
             Arc::clone(&counters),
             Arc::clone(&session),
             None,
@@ -693,12 +674,46 @@ mod tests {
         runner.join().unwrap();
     }
 
+    /// Work-conserving dispatch: a lone submission is ready the instant it
+    /// is buffered — no coalescing window — and an idle executor takes the
+    /// highest class first even when a lower class arrived earlier.
+    #[test]
+    fn lone_submission_is_picked_the_instant_it_is_buffered() {
+        let session = test_session();
+        let counters = Arc::new(ServeCounters::default());
+        let batcher = Batcher::new(test_config(64), Arc::clone(&counters), session, None, None);
+        let (tx, _rx) = mpsc::channel();
+        let standard = ("Fraud-FC-256".to_string(), Priority::Standard.rank(), 28);
+        batcher.submit(submission(1, 1, None, &tx, &counters));
+        assert_eq!(
+            pick_next(&batcher.state.lock().unwrap()),
+            Some(standard.clone())
+        );
+        let mut urgent = submission(2, 1, None, &tx, &counters);
+        urgent.class = Priority::Interactive;
+        batcher.submit(urgent);
+        let interactive = ("Fraud-FC-256".to_string(), Priority::Interactive.rank(), 28);
+        assert_eq!(pick_next(&batcher.state.lock().unwrap()), Some(interactive));
+        let first = batcher
+            .next_batch()
+            .expect("buffered work is taken at once");
+        assert_eq!(
+            (first.rank, first.members[0].id),
+            (Priority::Interactive.rank(), 2)
+        );
+        let second = batcher
+            .next_batch()
+            .expect("buffered work is taken at once");
+        assert_eq!((second.rank, second.members[0].id), (standard.1, 1));
+        assert!(pick_next(&batcher.state.lock().unwrap()).is_none());
+    }
+
     #[test]
     fn expired_deadline_is_rejected_before_admission() {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
         let batcher = Batcher::new(
-            test_config(64, Duration::from_millis(1)),
+            test_config(64),
             Arc::clone(&counters),
             Arc::clone(&session),
             None,
@@ -739,14 +754,8 @@ mod tests {
     fn drain_sheds_buffered_with_typed_error() {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
-        // A 10s flush delay pins submissions in the buffer until drain.
-        let batcher = Batcher::new(
-            test_config(64, Duration::from_secs(10)),
-            Arc::clone(&counters),
-            session,
-            None,
-            None,
-        );
+        // No executor runs yet, so submissions stay buffered until drain.
+        let batcher = Batcher::new(test_config(64), Arc::clone(&counters), session, None, None);
         let (tx, rx) = mpsc::channel();
         batcher.submit(submission(1, 2, None, &tx, &counters));
         batcher.submit(submission(2, 2, None, &tx, &counters));
@@ -774,7 +783,7 @@ mod tests {
     fn backlog_cap_sheds_at_submit() {
         let session = test_session();
         let counters = Arc::new(ServeCounters::default());
-        let mut config = test_config(64, Duration::from_secs(10));
+        let mut config = test_config(64);
         config.backlog_shed_rows[Priority::Standard.rank()] = Some(4);
         let batcher = Batcher::new(config, Arc::clone(&counters), session, None, None);
         let (tx, rx) = mpsc::channel();

@@ -41,11 +41,10 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Address to bind; port 0 picks an ephemeral port.
     pub(crate) bind: SocketAddr,
-    /// Row budget of one fused batch; a group flushes when it reaches it.
+    /// Row budget of one fused batch.
     pub(crate) max_batch_rows: usize,
-    /// Longest a buffered request waits before its group flushes anyway.
-    pub(crate) max_batch_delay: Duration,
-    /// Batch executor threads draining the micro-batcher.
+    /// Batch executor threads draining the micro-batcher; each fused batch
+    /// is admitted for `cores / executors` of the session's cores.
     pub(crate) executors: usize,
     /// Reactor poller threads multiplexing connections.
     pub(crate) pollers: usize,
@@ -85,7 +84,6 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: "127.0.0.1:0".parse().expect("static addr parses"),
             max_batch_rows: 64,
-            max_batch_delay: Duration::from_millis(2),
             executors: 2,
             pollers: 1,
             write_buffer_bytes: 1 << 20,
@@ -139,13 +137,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Longest a buffered request waits before its group flushes anyway.
-    pub fn max_batch_delay(mut self, delay: Duration) -> Self {
-        self.config.max_batch_delay = delay;
-        self
-    }
-
-    /// Batch executor threads draining the micro-batcher.
+    /// Batch executor threads draining the micro-batcher. An idle executor
+    /// takes the next buffered group at once, and each runs its fused
+    /// batch on `cores / executors` of the session's cores, so executors
+    /// (up to one per core) run side by side instead of waiting on one
+    /// another for admission.
     pub fn executors(mut self, executors: usize) -> Self {
         self.config.executors = executors;
         self
@@ -343,10 +339,13 @@ impl Server {
                 .map(Arc::new)
             })
             .transpose()?;
+        // Every executor runs a fused batch at once: each is one of
+        // `executors` DB workers in the §3.1 split, admitted for its share.
+        let executors = config.executors.max(1);
         let batcher = Batcher::new(
             BatcherConfig {
                 max_batch_rows: config.max_batch_rows.max(1),
-                max_batch_delay: config.max_batch_delay,
+                batch_cores: (session.coordinator().cores() / executors).max(1),
                 architecture: config.architecture,
                 admission: config.admission,
                 backlog_shed_rows: config.backlog_shed_rows,
@@ -358,7 +357,7 @@ impl Server {
             shard,
         );
 
-        let executors: Vec<JoinHandle<()>> = (0..config.executors.max(1))
+        let executors: Vec<JoinHandle<()>> = (0..executors)
             .map(|i| {
                 let batcher = Arc::clone(&batcher);
                 std::thread::Builder::new()

@@ -571,7 +571,8 @@ impl ShardCoordinator {
     /// the session's own fused path when the model is not shardable or no
     /// worker is live; degrades individual shards to local execution when
     /// their worker dies mid-batch. Never loses a request to a worker
-    /// crash.
+    /// crash. `cores` is the batch's share of the machine, as for the
+    /// session path.
     pub fn infer_fused(
         &self,
         session: &InferenceSession,
@@ -579,6 +580,7 @@ impl ShardCoordinator {
         parts: &[Tensor],
         architecture: Architecture,
         policy: &AdmissionPolicy,
+        cores: usize,
     ) -> relserve_core::Result<FusedOutcome> {
         let started = Instant::now();
         // Mirror infer_fused's part validation so the two paths reject
@@ -619,7 +621,7 @@ impl ShardCoordinator {
             self.counters
                 .fallback_unsharded
                 .fetch_add(1, Ordering::Relaxed);
-            return session.infer_fused(model_name, parts, architecture, policy);
+            return session.infer_fused(model_name, parts, architecture, policy, cores);
         };
 
         let mut data = Vec::with_capacity(total_rows * width);
@@ -632,9 +634,11 @@ impl ShardCoordinator {
 
         // One admission grant covers the coordinator's side of the batch:
         // slicing, any degraded-to-local shard, and the gather tail.
-        let ctx = session
-            .coordinator()
-            .context_with(1, session.governor().clone(), policy)?;
+        let ctx = session.coordinator().share(cores).context_with(
+            1,
+            session.governor().clone(),
+            policy,
+        )?;
         let par = ctx.parallelism();
 
         // Scatter: slice the batch column-wise and start every live
@@ -909,10 +913,11 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &policy,
+                2,
             )
             .unwrap();
         let local = coordinator_session
-            .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy)
+            .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy, 2)
             .unwrap();
         assert_eq!(sharded.per_request, local.per_request);
 
@@ -943,6 +948,7 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &policy,
+                2,
             )
             .unwrap();
         w1.kill();
@@ -953,6 +959,7 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &policy,
+                2,
             )
             .unwrap();
         assert_eq!(
@@ -973,6 +980,7 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &policy,
+                2,
             )
             .unwrap();
         assert_eq!(before.per_request, again.per_request);
@@ -1000,10 +1008,11 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &policy,
+                2,
             )
             .unwrap();
         let local = coordinator_session
-            .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy)
+            .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy, 2)
             .unwrap();
         assert_eq!(sharded.per_request, local.per_request);
         assert!(w0.is_killed(), "kill switch fired on the first request");
@@ -1029,6 +1038,7 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &policy,
+                2,
             )
             .unwrap();
         let outcome = coord
@@ -1038,10 +1048,11 @@ mod tests {
                 &parts,
                 Architecture::UdfCentric,
                 &policy,
+                2,
             )
             .unwrap();
         let local = coordinator_session
-            .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy)
+            .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy, 2)
             .unwrap();
         assert_eq!(outcome.per_request, local.per_request);
         assert_eq!(coord.stats().fallback_unsharded, 1);
@@ -1058,7 +1069,14 @@ mod tests {
         let bad = Tensor::from_vec([2, 27], vec![0.5; 54]).unwrap();
         let policy = AdmissionPolicy::default();
         let err = coord
-            .infer_fused(&session, MODEL, &[bad], Architecture::UdfCentric, &policy)
+            .infer_fused(
+                &session,
+                MODEL,
+                &[bad],
+                Architecture::UdfCentric,
+                &policy,
+                2,
+            )
             .unwrap_err();
         assert!(matches!(err, CoreError::Nn(_) | CoreError::Invalid(_)));
         assert_eq!(coord.stats().fallback_unsharded, 1);
@@ -1095,10 +1113,11 @@ mod tests {
                     &parts,
                     Architecture::UdfCentric,
                     &policy,
+                    2,
                 )
                 .unwrap();
             let serial = coordinator_session
-                .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy)
+                .infer_fused(MODEL, &parts, Architecture::UdfCentric, &policy, 2)
                 .unwrap();
             prop_assert_eq!(sharded.per_request, serial.per_request);
         }

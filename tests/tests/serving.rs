@@ -66,20 +66,51 @@ fn counter(stats: &[(String, u64)], name: &str) -> u64 {
         .1
 }
 
+/// Poll until `done` holds for the server's stats (10 s cap).
+fn wait_stats(
+    server: &ServerHandle,
+    what: &str,
+    done: impl Fn(&relserve_serve::ServeStats) -> bool,
+) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done(&server.stats()) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// Send one long Batch-class request of `rows` rows on its own connection
+/// and wait until an executor has taken it. On an `executors(1)` server
+/// the requests sent next stay buffered behind it. Returns the connection
+/// (its response is still to be read) and the instant the request was
+/// seen taken.
+fn occupy_executor(server: &ServerHandle, rows: usize) -> (Client, Instant) {
+    let mut client = Client::connect(server.addr()).unwrap();
+    let before = server.stats().batches;
+    let data: Vec<f32> = (0..rows).flat_map(|r| row(9, r)).collect();
+    client
+        .send_infer(MODEL, Priority::Batch, None, rows, WIDTH, data)
+        .unwrap();
+    wait_stats(server, "the long request to be taken", |s| {
+        s.batches > before
+    });
+    (client, Instant::now())
+}
+
 /// Single-row requests from concurrent connections coalesce into fused
 /// batches, and every connection gets back exactly its own ids with
 /// predictions matching the serial per-connection oracle — demux never
 /// crosses connections.
 #[test]
 fn coalesced_predictions_match_oracle_and_never_cross_connections() {
-    let config = ServeConfig::builder()
-        .max_batch_rows(16)
-        .max_batch_delay(Duration::from_millis(2))
-        .build()
-        .unwrap();
+    let config = ServeConfig::builder().max_batch_rows(16).build().unwrap();
     let server = spawn_server(config);
     let addr = server.addr();
     let session = Arc::clone(server.session());
+    // An idle executor takes each request the moment it arrives; hold
+    // every core so the executors stay busy in admission and the rest of
+    // the requests buffer and fuse behind them.
+    let hold = session.coordinator().admit(CORES).unwrap();
 
     const CLIENTS: usize = 3;
     const PER_CLIENT: usize = 12;
@@ -122,6 +153,10 @@ fn coalesced_predictions_match_oracle_and_never_cross_connections() {
             })
         })
         .collect();
+    wait_stats(&server, "every request to arrive", |s| {
+        s.requests == (CLIENTS * PER_CLIENT) as u64
+    });
+    drop(hold);
     for w in workers {
         w.join().unwrap();
     }
@@ -143,11 +178,7 @@ fn coalesced_predictions_match_oracle_and_never_cross_connections() {
 #[test]
 fn fused_batches_respect_the_row_bound_for_random_request_sizes() {
     for seed in [3u64, 17, 99] {
-        let config = ServeConfig::builder()
-            .max_batch_rows(16)
-            .max_batch_delay(Duration::from_millis(1))
-            .build()
-            .unwrap();
+        let config = ServeConfig::builder().max_batch_rows(16).build().unwrap();
         let server = spawn_server(config);
         let mut client = Client::connect(server.addr()).unwrap();
 
@@ -200,12 +231,14 @@ fn fused_batches_respect_the_row_bound_for_random_request_sizes() {
 fn interactive_p99_queue_wait_beats_batch_under_mixed_load() {
     let config = ServeConfig::builder()
         .max_batch_rows(8)
-        .max_batch_delay(Duration::from_millis(1))
         .executors(1) // one drain lane => priority picks the order
         .build()
         .unwrap();
     let server = spawn_server(config);
     let addr = server.addr();
+    // The lone executor is busy with a long request, so the mixed load
+    // buffers behind it and priority decides what runs next.
+    let (mut blocker, _) = occupy_executor(&server, 4096);
 
     const PER_CLIENT: usize = 12;
     let classes = [
@@ -262,6 +295,7 @@ fn interactive_p99_queue_wait_beats_batch_under_mixed_load() {
         interactive < batch,
         "interactive p99 queue wait {interactive}µs should beat batch {batch}µs"
     );
+    assert!(matches!(blocker.recv().unwrap(), Response::Infer { .. }));
     server.shutdown();
 }
 
@@ -271,14 +305,15 @@ fn interactive_p99_queue_wait_beats_batch_under_mixed_load() {
 /// still succeeds (the stale member never poisons the fused batch).
 #[test]
 fn buffered_deadline_expiry_is_rejected_before_admission() {
-    // A long coalescing window guarantees the tight deadline expires
-    // while the request is still buffered.
+    // The lone executor is busy with a long request, so the tight
+    // deadline expires while the request is still buffered.
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(60))
         .max_batch_rows(64)
+        .executors(1)
         .build()
         .unwrap();
     let server = spawn_server(config);
+    let (mut blocker, _) = occupy_executor(&server, 4096);
     let mut client = Client::connect(server.addr()).unwrap();
 
     let doomed = client
@@ -319,6 +354,46 @@ fn buffered_deadline_expiry_is_rejected_before_admission() {
     assert!(counter(&stats, "serve.deadline_rejected") >= 1);
     // Rejection happened at the serve layer, not in the admission queue.
     assert_eq!(counter(&stats, "admission.standard.deadline_expired"), 0);
+    assert!(matches!(blocker.recv().unwrap(), Response::Infer { .. }));
+    server.shutdown();
+}
+
+/// Each of two executors is admitted for its own share of a two-core
+/// session: while a long Batch-class request runs on one core, a single
+/// Interactive row sent after it runs on the other and is answered first,
+/// early in the long request's run, instead of waiting in admission for
+/// the long request to release the whole machine.
+#[test]
+fn interactive_row_is_answered_while_a_long_batch_request_runs() {
+    let config = ServeConfig::builder().executors(2).build().unwrap();
+    let server = spawn_server(config);
+    let (mut blocker, taken) = occupy_executor(&server, 4096);
+    let long = std::thread::spawn(move || (blocker.recv().unwrap(), Instant::now()));
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client
+        .infer(MODEL, Priority::Interactive, None, 1, WIDTH, row(7, 0))
+        .unwrap();
+    let answered = Instant::now();
+    assert!(
+        matches!(&resp, Response::Infer { predictions, .. } if predictions.len() == 1),
+        "unexpected response {resp:?}"
+    );
+    let (long_resp, long_answered) = long.join().unwrap();
+    assert!(
+        matches!(&long_resp, Response::Infer { predictions, .. } if predictions.len() == 4096),
+        "unexpected response {long_resp:?}"
+    );
+    assert!(
+        answered < long_answered,
+        "the interactive row must be answered before the long request"
+    );
+    let long_run = long_answered.duration_since(taken);
+    assert!(
+        answered.duration_since(taken) < long_run / 2,
+        "the interactive row waited {:?} of the long request's {long_run:?}",
+        answered.duration_since(taken)
+    );
     server.shutdown();
 }
 
@@ -333,7 +408,6 @@ fn batch_sheds_while_interactive_completes_under_saturation() {
     let mut batch_policy = AdmissionPolicy::for_class(Priority::Batch);
     batch_policy.queue_timeout = Some(Duration::from_millis(5));
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .executors(2)
         .admission(Priority::Batch, batch_policy)
         .build()
@@ -395,7 +469,6 @@ fn batch_sheds_while_interactive_completes_under_saturation() {
 fn backlog_pressure_steps_down_the_version_ladder() {
     let config = ServeConfig::builder()
         .max_batch_rows(8)
-        .max_batch_delay(Duration::from_millis(1))
         .executors(1)
         .ladder(
             MODEL,
@@ -468,7 +541,6 @@ fn degraded_to_crosses_the_wire_under_injected_faults() {
     let session = session.with_fault_injector(FaultInjector::new(FaultConfig::flaky_wire(7, 1.0)));
 
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .architecture(Architecture::DlCentric(RuntimeProfile::tensorflow_like()))
         .build()
         .unwrap();

@@ -47,7 +47,6 @@ fn spawn_cached(cache: CacheConfig) -> ServerHandle {
         fraud_session(),
         ServeConfig::builder()
             .max_batch_rows(16)
-            .max_batch_delay(Duration::from_millis(1))
             .cache(cache)
             .build()
             .unwrap(),
@@ -155,11 +154,25 @@ fn repeat_round_adds_no_batches_and_no_admissions() {
 /// ordering holds even though cached answers skip the batcher entirely).
 #[test]
 fn cached_responses_preserve_per_connection_ordering() {
-    let server = spawn_cached(CacheConfig {
-        enabled: true,
-        per_class: [CacheTolerance::Exact; 3],
-        ..CacheConfig::default()
-    });
+    // One executor: with `RELSERVE_CACHE=off` nothing is cached and the hot
+    // rows are batched too, and fused batches running side by side on two
+    // executors may legitimately complete out of order. One executor runs
+    // them in arrival order, so the hot-order assertion below holds with
+    // the cache on or killed.
+    let server = Server::spawn(
+        fraud_session(),
+        ServeConfig::builder()
+            .max_batch_rows(16)
+            .executors(1)
+            .cache(CacheConfig {
+                enabled: true,
+                per_class: [CacheTolerance::Exact; 3],
+                ..CacheConfig::default()
+            })
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
 
     // Warm a shared hot row so later repeats hit on every connection, and

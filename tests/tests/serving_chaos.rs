@@ -114,7 +114,6 @@ fn chaos_soak_yields_typed_outcomes_without_leaks() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
     let fds_before = open_fds();
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .wire_faults(FaultConfig::sock_chaos(0xC4A05, 0.2, 0.2, 0.05, 0.2))
         .build()
         .unwrap();
@@ -179,15 +178,27 @@ proptest! {
         let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
         let fds_before = open_fds();
         let config = ServeConfig::builder()
-            // A long batch window keeps some requests buffered (and thus
-            // sheddable) when the drain lands.
-            .max_batch_delay(Duration::from_millis(30))
+            .executors(1)
             .wire_faults(FaultConfig::sock_chaos(seed, tear, stall, 0.0, 0.0))
             .drain_deadline(Duration::from_secs(10))
             .build()
             .unwrap();
         let server = Server::spawn(fraud_session(), config).unwrap();
         let addr = server.addr();
+
+        // The lone executor is busy with a long request, which keeps the
+        // requests below buffered (and thus sheddable) when the drain
+        // lands.
+        let mut blocker = Client::connect_resilient(addr, chaos_policy()).unwrap();
+        let long: Vec<f32> = (0..4096).flat_map(row).collect();
+        let blocker_id = blocker
+            .send_infer(MODEL, Priority::Batch, None, 4096, WIDTH, long)
+            .unwrap();
+        let taken_by = Instant::now() + Duration::from_secs(10);
+        while server.stats().batches == 0 {
+            prop_assert!(Instant::now() < taken_by, "the long request was never taken");
+            std::thread::sleep(Duration::from_micros(200));
+        }
 
         let mut clients = Vec::new();
         for c in 0..2 {
@@ -211,6 +222,12 @@ proptest! {
             "drain missed a 10s deadline: {report:?}"
         );
 
+        // Taken before the drain, the long request runs to completion.
+        match blocker.wait(blocker_id) {
+            Ok(Response::Infer { predictions, .. }) => prop_assert_eq!(predictions.len(), 4096),
+            other => prop_assert!(false, "long request lost by drain: {:?}", other),
+        }
+        drop(blocker);
         for (client, ids) in &mut clients {
             for &id in ids.iter() {
                 match client.wait(id) {
@@ -273,7 +290,6 @@ proptest! {
 fn drain_under_load_completes() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .drain_deadline(Duration::from_secs(5))
         .build()
         .unwrap();
@@ -335,7 +351,6 @@ fn reset_during_parked_write_releases_exactly_once() {
         Some(FaultConfig::sock_chaos(0xBADC0DE, 0.0, 0.0, 0.05, 0.0)),
     ] {
         let mut builder = ServeConfig::builder()
-            .max_batch_delay(Duration::from_millis(1))
             // Small cap so the hog's queue crosses its watermarks quickly.
             .write_buffer_bytes(64 << 10);
         if let Some(f) = chaos {
@@ -415,7 +430,6 @@ fn reset_during_parked_write_releases_exactly_once() {
 fn sigterm_routes_to_drain_and_health_reports_it() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
         .drain_deadline(Duration::from_secs(5))
         .build()
         .unwrap();
@@ -494,10 +508,7 @@ fn sigterm_routes_to_drain_and_health_reports_it() {
 #[test]
 fn resilient_client_replays_across_server_restart() {
     let _guard = PROC_COUNTS.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ServeConfig::builder()
-        .max_batch_delay(Duration::from_millis(1))
-        .build()
-        .unwrap();
+    let config = ServeConfig::builder().build().unwrap();
     let server = Server::spawn(fraud_session(), config.clone()).unwrap();
     let addr = server.addr();
 
@@ -519,11 +530,7 @@ fn resilient_client_replays_across_server_restart() {
     // set SO_REUSEADDR, so the rebind races only lingering accepts).
     server.shutdown();
     let restarted = {
-        let config = ServeConfig::builder()
-            .bind(addr)
-            .max_batch_delay(Duration::from_millis(1))
-            .build()
-            .unwrap();
+        let config = ServeConfig::builder().bind(addr).build().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             match Server::spawn(fraud_session(), config.clone()) {
